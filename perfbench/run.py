@@ -13,6 +13,8 @@ goes to stderr. Exits non-zero without a result when either build fails.
 """
 
 import os
+import shutil
+import signal
 import subprocess
 import sys
 
@@ -39,10 +41,16 @@ def main() -> int:
     runner = os.path.join(target, "release", "perfbench")
     binary = os.path.join(target, "release", "filterscope")
     cmd = [runner, *sys.argv[1:], "--filterscope", binary]
+    # Its own session, so a timeout can stop the `filterscope serve`
+    # children along with it.
+    proc = subprocess.Popen(cmd, cwd=root, start_new_session=True)
     try:
-        return subprocess.run(cmd, cwd=root, timeout=175).returncode
+        return proc.wait(timeout=175)
     except subprocess.TimeoutExpired:
         print("perfbench: run exceeded its time limit", file=sys.stderr)
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        shutil.rmtree(os.path.join(root, ".bench_work"), ignore_errors=True)
         return 1
 
 

@@ -173,19 +173,28 @@ pub fn run(rc: &RunCtx, metrics: &mut Metrics, ops: &mut Ops) {
     };
     // Set-up: what the first shard waits for — the analysis context (geo
     // and category registries) and the ingest plan, which scans every
-    // input file for `#Fields:` sections.
-    let mut setups = Vec::new();
-    let mut ctx = None;
+    // input file for `#Fields:` sections. Its cost follows the machine's
+    // load from one second to the next, so `setup_s` also samples it
+    // before every pass and takes the median over the whole run.
     let quiet = Tracer::new(false);
-    for _ in 0..rc.setup_repeats {
+    let set_up = || {
         let t0 = Instant::now();
         let c = AnalysisContext::standard(None);
-        if let Err(e) = plan(&paths, &quiet) {
-            ops.record(false, || format!("cannot plan the analyze inputs: {e}"));
-            return;
+        plan(&paths, &quiet).map(|_| (c, util::secs(t0)))
+    };
+    let mut setups = Vec::new();
+    let mut ctx = None;
+    for _ in 0..rc.setup_repeats {
+        match set_up() {
+            Ok((c, secs)) => {
+                setups.push(secs);
+                ctx = Some(c);
+            }
+            Err(e) => {
+                ops.record(false, || format!("cannot plan the analyze inputs: {e}"));
+                return;
+            }
         }
-        setups.push(util::secs(t0));
-        ctx = Some(c);
     }
     let ctx = ctx.expect("at least one set-up");
 
@@ -205,6 +214,12 @@ pub fn run(rc: &RunCtx, metrics: &mut Metrics, ops: &mut Ops) {
     let loop_start = Instant::now();
     let min_passes = if rc.trace { 3 } else { 5 };
     while passes.len() < min_passes || util::secs(loop_start) < rc.seconds {
+        if !rc.trace {
+            match set_up() {
+                Ok((_, secs)) => setups.push(secs),
+                Err(e) => ops.record(false, || format!("cannot plan the analyze inputs: {e}")),
+            }
+        }
         let t0 = Instant::now();
         match analyze(&paths, &ctx, rc.threads) {
             Ok(r) => {

@@ -312,22 +312,33 @@ fn timed_pass(
     })
 }
 
-pub fn run(rc: &RunCtx, metrics: &mut Metrics, ops: &mut Ops) {
-    // Set-up of the system under test: the corpus model and every day's
-    // farm and generator, which the first unit of work waits for.
-    let mut setups = Vec::new();
+/// Set-ups timed together per `setup_s` sample.
+const SETUP_BATCH: usize = 4;
+
+/// Set up [`SETUP_BATCH`] times: the corpus model and every day's farm and
+/// generator, which the first unit of work waits for. Returns the last
+/// corpus and the mean seconds of one set-up.
+fn set_up(seed: u64) -> (Corpus, f64) {
+    let t0 = Instant::now();
     let mut corpus = None;
-    for _ in 0..rc.setup_repeats {
-        let t0 = Instant::now();
-        let c = corpus_for(rc.seed, GEN_SCALE);
+    for _ in 0..SETUP_BATCH {
+        let c = corpus_for(seed, GEN_SCALE);
         for day in c.config().period.days() {
             std::hint::black_box(c.farm_for(*day));
             std::hint::black_box(c.day_generator(*day));
         }
-        setups.push(util::secs(t0));
         corpus = Some(c);
     }
-    let corpus = corpus.expect("at least one set-up");
+    let secs = util::secs(t0) / SETUP_BATCH as f64;
+    (corpus.expect("SETUP_BATCH > 0"), secs)
+}
+
+pub fn run(rc: &RunCtx, metrics: &mut Metrics, ops: &mut Ops) {
+    // One set-up takes a few ms and its cost follows the machine's load
+    // from one second to the next, so `setup_s` samples a batch before
+    // every pass and takes the median over the whole run.
+    let (corpus, first_setup) = set_up(rc.seed);
+    let mut setups = vec![first_setup];
     let expected = corpus.total_volume();
     let out = rc.work.join("gen");
 
@@ -351,6 +362,9 @@ pub fn run(rc: &RunCtx, metrics: &mut Metrics, ops: &mut Ops) {
     let loop_start = Instant::now();
     let min_passes = if rc.trace { 3 } else { 5 };
     while passes.len() < min_passes || util::secs(loop_start) < rc.seconds {
+        if !rc.trace {
+            setups.push(set_up(rc.seed).1);
+        }
         match timed_pass(&corpus, &out, rc.threads, None) {
             Ok(pass) => {
                 check(&pass, first_digest, ops);

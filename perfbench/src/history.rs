@@ -3,6 +3,15 @@
 //! writes them; then one closed-loop client runs a seeded mix of `at`,
 //! `series` and `diff` queries. Each query is `read_frames` + the query +
 //! rendering, the calls `filterscope history` composes.
+//!
+//! The query mix follows the one consumer the roadmap names for the
+//! history API, the operator plane's "when did SG-44 start diverging?":
+//! a session is a `series` of one metric over the whole log at the log's
+//! time resolution (when did it change), a `diff` across one change
+//! point of the log (what changed), and an `at` of the last instant
+//! (what the state is now). Sessions repeat back to back, so the mix is
+//! one query of each kind. The ratio follows that workflow; it is not
+//! measured from operator traffic.
 
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -25,32 +34,6 @@ pub const HISTORY_SCALE: u64 = 16_384;
 
 /// Delta frames in the log: one per simulated snapshot window.
 pub const FRAMES: usize = 24;
-
-/// Queries per mix cycle and their kinds: 5 `at` (one at the last
-/// instant), 3 `series`, 2 `diff`, in a seeded order per cycle.
-const MIX: [Kind; 10] = [
-    Kind::AtLast,
-    Kind::At,
-    Kind::At,
-    Kind::At,
-    Kind::At,
-    Kind::Series,
-    Kind::Series,
-    Kind::Series,
-    Kind::Diff,
-    Kind::Diff,
-];
-
-/// `series` window widths, in seconds.
-const STEPS: [u64; 3] = [3_600, 21_600, 86_400];
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
-    AtLast,
-    At,
-    Series,
-    Diff,
-}
 
 /// The built log plus what every query's answer is checked against.
 pub struct LogInput {
@@ -137,45 +120,38 @@ enum Query {
     Diff(u64, u64),
 }
 
-/// The seeded query sequence: `count` queries in cycles of [`MIX`].
-/// Parameters are stratified so every cycle covers the log evenly: the
-/// four free `at` instants fall one in each quarter of the logged time
-/// range, a `diff` spans from the first half into the second, and
-/// `series` walks a seeded order of the analysis keys and the steps.
+/// `series` window width: one day. The corpus is generated day by day
+/// and a frame is stamped with the latest record time it holds, so the
+/// log's frames cluster at day ends and a day is the finest step at which
+/// it answers "when".
+const SERIES_STEP: u64 = 86_400;
+
+/// The seeded query sequence: `count` queries in operator sessions of
+/// `series`, `diff`, `at` (see the module documentation). Sessions walk a
+/// seeded order of the analysis keys, and their `diff`s walk a seeded
+/// order of the log's change points (consecutive distinct frame times),
+/// so every run covers the whole log evenly.
 fn queries(seed: u64, input: &LogInput, keys: &[&'static str], count: usize) -> Vec<Query> {
     let mut rng = Rng::new(seed ^ 0x4849_5354);
-    let (t_first, t_last) = (input.frames[0].0, input.frames[FRAMES - 1].0);
-    let span = t_last - t_first;
-    // Uniform instant in stratum `s` of `n` equal slices of the range.
-    let instant = |rng: &mut Rng, s: u64, n: u64| {
-        let lo = t_first + span * s / n;
-        let hi = t_first + span * (s + 1) / n;
-        lo + rng.below(hi - lo + 1)
-    };
+    let t_last = input.frames[FRAMES - 1].0;
+    let mut times: Vec<u64> = input.frames.iter().map(|(ts, _)| *ts).collect();
+    times.dedup();
+    let mut changes: Vec<(u64, u64)> = times.windows(2).map(|w| (w[0], w[1])).collect();
+    if changes.is_empty() {
+        changes.push((t_last, t_last));
+    }
+    rng.shuffle(&mut changes);
     let mut order = keys.to_vec();
     rng.shuffle(&mut order);
-    let (mut series_no, mut at_no) = (0usize, 0u64);
-    let mut out = Vec::with_capacity(count);
-    while out.len() < count {
-        let mut cycle = MIX;
-        rng.shuffle(&mut cycle);
-        for kind in cycle {
-            out.push(match kind {
-                Kind::AtLast => Query::At(t_last),
-                Kind::At => {
-                    at_no += 1;
-                    Query::At(instant(&mut rng, at_no % 4, 4))
-                }
-                Kind::Series => {
-                    series_no += 1;
-                    Query::Series(
-                        order[series_no % order.len()],
-                        STEPS[series_no % STEPS.len()],
-                    )
-                }
-                Kind::Diff => Query::Diff(instant(&mut rng, 0, 2), instant(&mut rng, 1, 2)),
-            });
+    let mut out = Vec::with_capacity(count + 2);
+    for session in 0.. {
+        if out.len() >= count {
+            break;
         }
+        let (a, b) = changes[session % changes.len()];
+        out.push(Query::Series(order[session % order.len()], SERIES_STEP));
+        out.push(Query::Diff(a, b));
+        out.push(Query::At(t_last));
     }
     out.truncate(count);
     out

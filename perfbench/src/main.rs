@@ -23,6 +23,7 @@ mod util;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use filterscope::proxy::hashing::splitmix;
 use trace::{Span, Tracer};
 use util::{Metrics, Ops};
 
@@ -222,7 +223,8 @@ pub fn write_spans(rc: &RunCtx, tracer: &Tracer) {
     }
 }
 
-/// Seeded splitmix64 stream for workload choices.
+/// Seeded splitmix64 stream for workload choices: the state advances by
+/// the golden-ratio increment and each draw is `splitmix` of it.
 pub struct Rng(u64);
 
 impl Rng {
@@ -231,11 +233,9 @@ impl Rng {
     }
 
     pub fn next_u64(&mut self) -> u64 {
+        let z = splitmix(self.0);
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
+        z
     }
 
     /// Uniform in `0..n` (`n > 0`).

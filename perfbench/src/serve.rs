@@ -425,11 +425,6 @@ fn run_phase(
         stop.store(true, Ordering::SeqCst);
         (page, stopped)
     });
-    ops.attempted += batches.len() as u64;
-    if let Some(e) = &send_error {
-        ops.failed += batches.len() as u64;
-        eprintln!("perfbench: check failed: {name}: sending failed: {e}");
-    }
     let snaps = rc.work.join(name).join("snaps");
     out.report = std::fs::read_to_string(snaps.join("report.txt")).unwrap_or_default();
     out.peak_rss_mib = rss.load(Ordering::SeqCst) as f64 / 1024.0;
@@ -461,6 +456,10 @@ fn run_phase(
     let dropped = gauge(&page, "filterscope_connections_dropped_total");
     let checks = [
         (
+            send_error.is_none(),
+            format!("{name}: sending failed: {send_error:?}"),
+        ),
+        (
             stop_result.is_ok(),
             format!("{name}: daemon stop: {stop_result:?}"),
         ),
@@ -481,11 +480,14 @@ fn run_phase(
             format!("{name}: final report differs from analyze over the same records"),
         ),
     ];
-    out.ok = send_error.is_none();
-    for (ok, what) in checks {
-        ops.record(ok, || what);
-        out.ok &= ok;
-    }
+    // The phase is one operation: it fails when any of its checks fails.
+    let failures: Vec<String> = checks
+        .into_iter()
+        .filter(|(ok, _)| !ok)
+        .map(|(_, what)| what)
+        .collect();
+    out.ok = failures.is_empty();
+    ops.record(out.ok, || failures.join("; "));
     out
 }
 
