@@ -513,15 +513,18 @@ mod tests {
     #[derive(Debug, Default)]
     struct Counter {
         hosts: Vec<String>,
+        dates: Vec<String>,
     }
 
     impl ShardSink for Counter {
         fn ingest(&mut self, record: &RecordView<'_>) {
             self.hosts.push(record.host().to_string());
+            self.dates.push(record.timestamp.date().to_string());
         }
 
         fn absorb(&mut self, other: Self) {
             self.hosts.extend(other.hosts);
+            self.dates.extend(other.dates);
         }
     }
 
@@ -591,10 +594,10 @@ mod tests {
     #[test]
     fn mid_file_schema_switches_are_honored() {
         let dir = temp_dir("schema");
-        // Section 1: canonical order. Section 2: reversed field order under
-        // its own #Fields: header (log rotation concatenation).
         let first = rec("first.example", false);
         let second = rec("second.example", true);
+        // Case 1: canonical order, then the reversed field order under its
+        // own #Fields: header (log rotation concatenation).
         let cells = filterscope_logformat::csv::split_line(&second.write_csv()).unwrap();
         let fields = filterscope_logformat::fields::FIELDS;
         let reversed_header = format!(
@@ -603,26 +606,37 @@ mod tests {
         );
         let reversed_line =
             filterscope_logformat::csv::join_line(&cells.iter().rev().cloned().collect::<Vec<_>>());
-        let mut data = String::new();
-        data.push_str(&first.write_csv());
-        data.push('\n');
-        data.push_str(&reversed_header);
-        data.push('\n');
-        data.push_str(&reversed_line);
-        data.push('\n');
-        let path = dir.join("rotated.log");
-        std::fs::write(&path, &data).unwrap();
-        for threads in [1usize, 4] {
-            let ingest = ParallelIngest::new(threads).with_shard_bytes(64);
-            let (counter, stats) = ingest
-                .run(std::slice::from_ref(&path), Counter::default)
-                .unwrap();
-            assert_eq!(
-                counter.hosts,
-                vec!["first.example".to_string(), "second.example".to_string()],
-                "threads={threads}"
-            );
-            assert_eq!(stats.malformed, 0);
+        let reversed = format!(
+            "{}\n{reversed_header}\n{reversed_line}\n",
+            first.write_csv()
+        );
+        // Case 2: a `#Software` line, then a reduced five-field header
+        // whose absent fields take their defaults.
+        let reduced = format!(
+            "#Software: SGOS\n{}\n#Fields: date time s-ip cs-host sc-filter-result\n\
+             2011-08-04,11:00:00,82.137.200.42,late.example,OBSERVED\n",
+            first.write_csv()
+        );
+        let cases = [
+            ("rotated.log", reversed, "second.example", "2011-08-03"),
+            ("reduced.log", reduced, "late.example", "2011-08-04"),
+        ];
+        for (name, data, host, date) in cases {
+            let path = dir.join(name);
+            std::fs::write(&path, &data).unwrap();
+            for threads in [1usize, 4] {
+                let ingest = ParallelIngest::new(threads).with_shard_bytes(64);
+                let (counter, stats) = ingest
+                    .run(std::slice::from_ref(&path), Counter::default)
+                    .unwrap();
+                assert_eq!(
+                    counter.hosts,
+                    vec!["first.example".to_string(), host.to_string()],
+                    "{name} threads={threads}"
+                );
+                assert_eq!(counter.dates[1], date, "{name} threads={threads}");
+                assert_eq!(stats.malformed, 0, "{name} threads={threads}");
+            }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

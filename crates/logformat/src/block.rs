@@ -23,10 +23,12 @@
 //!   hold whole lines, a header straddling a block boundary cannot be
 //!   mis-read.
 //!
-//! Malformed-line semantics are identical to the streaming readers: lines
-//! are trimmed of trailing `\r`/`\n`, empty lines are skipped, UTF-8
-//! validity is checked *before* the `#` comment prefix (a corrupt comment
-//! counts as malformed), and CSV/width/field errors count per line.
+//! [`BlockParser::parse`] is the one place a byte stream of ELFF lines
+//! becomes record views: file ingest feeds it [`BlockReader`] blocks and
+//! the serve daemon feeds it whole `Batch` payloads. Its line rules: every
+//! trailing `\r` is trimmed, empty lines are skipped, UTF-8 validity is
+//! checked *before* the `#` comment prefix (a corrupt comment counts as
+//! malformed), and CSV/width/field errors count per line.
 
 use crate::csv::{self, Span};
 use crate::scan;
@@ -259,8 +261,8 @@ impl BlockParser {
             if end == start {
                 continue;
             }
-            // Same order as the streaming readers: UTF-8 validity before the
-            // comment prefix, so a corrupt comment line counts as malformed.
+            // UTF-8 validity before the comment prefix, so a corrupt
+            // comment line counts as malformed.
             let Ok(text) = std::str::from_utf8(&block[start..end]) else {
                 malformed += 1;
                 continue;
@@ -356,9 +358,8 @@ pub fn scan_sections_with(path: &Path, block_bytes: usize) -> std::io::Result<Fi
                 while end > pos && block[end - 1] == b'\r' {
                     end -= 1;
                 }
-                // Mirrors `SchemaReader`: header handling only applies to
-                // valid UTF-8 lines (invalid UTF-8 is counted by the shard
-                // readers).
+                // Header handling only applies to valid UTF-8 lines
+                // (invalid UTF-8 is counted by the shard's block parser).
                 if let Ok(text) = std::str::from_utf8(&block[pos..end]) {
                     if text[1..].trim_start().starts_with("Fields:") {
                         match Schema::from_header(text) {

@@ -41,6 +41,6 @@ pub use enums::{ClientId, ExceptionId, FilterResult, Method, SAction, Scheme};
 pub use frame::{Frame, FrameKind};
 pub use reader::{LogReader, LogWriter};
 pub use record::{parse_line, LogRecord};
-pub use schema::{Schema, SchemaReader};
+pub use schema::Schema;
 pub use url::RequestUrl;
 pub use view::{parse_view, RecordView, UrlView};

@@ -5,16 +5,15 @@
 //! extended, or reduced field sets. [`Schema`] maps a declared field order
 //! onto the canonical [`crate::LogRecord`]: known fields land in their
 //! typed slots, unknown fields are skipped, and absent optional fields take
-//! their defaults. [`SchemaReader`] streams a whole file, switching schemas
-//! whenever a new `#Fields:` header appears mid-file (log rotation
-//! concatenation does this in practice).
+//! their defaults. Files that switch schemas mid-file with a new `#Fields:`
+//! header (log rotation concatenation does this in practice) are split
+//! into per-schema sections by [`crate::scan_sections`].
 
 use crate::csv::LineSplitter;
 use crate::fields::{FIELDS, FIELD_COUNT};
 use crate::record::LogRecord;
 use crate::view::{self, RecordView};
 use filterscope_core::{Error, Result};
-use std::io::BufRead;
 
 /// Aliases accepted for canonical field names (ELFF spells some fields with
 /// parenthesized header names, e.g. `cs(User-Agent)`).
@@ -157,103 +156,6 @@ impl Schema {
     }
 }
 
-/// Streaming reader that follows the file's own `#Fields:` headers.
-pub struct SchemaReader<R> {
-    inner: R,
-    schema: Schema,
-    line_no: u64,
-    buf: Vec<u8>,
-    errors_seen: u64,
-}
-
-impl<R: BufRead> SchemaReader<R> {
-    /// Start with the canonical schema until a header says otherwise.
-    pub fn new(inner: R) -> Self {
-        SchemaReader {
-            inner,
-            schema: Schema::canonical(),
-            line_no: 0,
-            buf: Vec::new(),
-            errors_seen: 0,
-        }
-    }
-
-    /// The schema currently in effect.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// Malformed lines seen so far.
-    pub fn errors_seen(&self) -> u64 {
-        self.errors_seen
-    }
-
-    /// Next record, honoring in-file schema switches. Semantics match
-    /// [`crate::LogReader::next_record`].
-    pub fn next_record(&mut self) -> Result<Option<LogRecord>> {
-        loop {
-            self.buf.clear();
-            let n = self.inner.read_until(b'\n', &mut self.buf)?;
-            if n == 0 {
-                return Ok(None);
-            }
-            self.line_no += 1;
-            let mut end = self.buf.len();
-            while end > 0 && (self.buf[end - 1] == b'\n' || self.buf[end - 1] == b'\r') {
-                end -= 1;
-            }
-            let bytes = &self.buf[..end];
-            if bytes.is_empty() {
-                continue;
-            }
-            let Ok(line) = std::str::from_utf8(bytes) else {
-                self.errors_seen += 1;
-                return Err(Error::MalformedRecord {
-                    line: self.line_no,
-                    reason: "invalid UTF-8".into(),
-                });
-            };
-            if let Some(stripped) = line.strip_prefix('#') {
-                if stripped.trim_start().starts_with("Fields:") {
-                    match Schema::from_header(line) {
-                        Ok(s) => self.schema = s,
-                        Err(_) => self.errors_seen += 1,
-                    }
-                }
-                continue;
-            }
-            match self.schema.parse_record(line, self.line_no) {
-                Ok(r) => return Ok(Some(r)),
-                Err(e) => {
-                    self.errors_seen += 1;
-                    return Err(e);
-                }
-            }
-        }
-    }
-
-    /// Collect every parseable record, counting malformed lines.
-    pub fn read_all_lossy(mut self) -> (Vec<LogRecord>, u64) {
-        let mut out = Vec::new();
-        loop {
-            match self.next_record() {
-                Ok(Some(r)) => out.push(r),
-                Ok(None) => break,
-                Err(_) => continue,
-            }
-        }
-        (out, self.errors_seen)
-    }
-}
-
-impl<R: BufRead> Iterator for SchemaReader<R> {
-    type Item = Result<LogRecord>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.next_record().transpose()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,7 +163,6 @@ mod tests {
     use crate::url::RequestUrl;
     use crate::ExceptionId;
     use filterscope_core::{ProxyId, Timestamp};
-    use std::io::Cursor;
 
     fn sample() -> LogRecord {
         RecordBuilder::new(
@@ -336,26 +237,6 @@ mod tests {
         assert!(Schema::from_header("#Fields: date time cs-host").is_err());
         assert!(Schema::from_header("#NotFields: x").is_err());
         assert!(Schema::from_header("#Fields:").is_err());
-    }
-
-    #[test]
-    fn reader_switches_schema_mid_file() {
-        let rec = sample();
-        let canonical_line = rec.write_csv();
-        let data = format!(
-            "#Software: SGOS\n{}\n#Fields: date time s-ip cs-host sc-filter-result\n\
-             2011-08-04,11:00:00,82.137.200.42,late.example,OBSERVED\n",
-            canonical_line
-        );
-        // The first record uses the canonical default; the second follows
-        // the in-file header.
-        let reader = SchemaReader::new(Cursor::new(data));
-        let (records, bad) = reader.read_all_lossy();
-        assert_eq!(bad, 0);
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0], rec);
-        assert_eq!(records[1].host(), "late.example");
-        assert_eq!(records[1].timestamp.date().to_string(), "2011-08-04");
     }
 
     #[test]

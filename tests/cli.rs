@@ -123,6 +123,89 @@ fn weather_and_compare_run() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `compare` output is pinned byte-for-byte. Side A is one generated day
+/// with corrupt lines appended; side B is another day whose second half
+/// switches to a reversed `#Fields:` schema mid-file, then to a reduced
+/// five-field schema, with malformed headers and data lines in between.
+#[test]
+fn compare_output_matches_the_golden_file() {
+    let dir = temp_dir("compare_golden");
+    let logs = generated_logs(&dir);
+    let fields = filterscope::logformat::fields::FIELDS;
+
+    let mut a = std::fs::read(&logs[3]).expect("read day A");
+    a.extend_from_slice(format!("garbage,{}\n", "x".repeat(300)).as_bytes());
+    a.extend_from_slice(b"2011-08-01 not,a,record\r\n");
+    a.extend_from_slice(b"2011-08-01,\xff\xfe,bad utf8\n");
+    a.extend_from_slice(b"\n\r\n# trailing comment\n");
+    std::fs::write(dir.join("a.log"), &a).expect("write a.log");
+
+    let day_b = std::fs::read_to_string(&logs[7]).expect("read day B");
+    let data: Vec<&str> = day_b.lines().filter(|l| !l.starts_with('#')).collect();
+    let half = data.len() / 2;
+    let mut b = String::new();
+    b.push_str("#Software: SGOS 4.1.4\n");
+    for line in &data[..half] {
+        b.push_str(line);
+        b.push('\n');
+    }
+    b.push_str("#Fields: not,a,real,schema\n");
+    b.push_str("#Fields: ");
+    b.push_str(&fields.iter().rev().copied().collect::<Vec<_>>().join(","));
+    b.push('\n');
+    for (i, line) in data[half..].iter().enumerate() {
+        if i == 17 {
+            // Canonical order under the reversed schema: right width, so
+            // it parses and fails field conversion.
+            b.push_str(line);
+            b.push('\n');
+            b.push_str("too,few,fields\n");
+        }
+        let cells = filterscope::logformat::csv::split_line(line).unwrap();
+        b.push_str(&filterscope::logformat::csv::join_line(
+            &cells.iter().rev().cloned().collect::<Vec<_>>(),
+        ));
+        b.push('\n');
+    }
+    b.push_str("#Fields: date time s-ip cs-host sc-filter-result\n");
+    for line in &data[..40] {
+        let cells = filterscope::logformat::csv::split_line(line).unwrap();
+        let pick = |name: &str| cells[fields.iter().position(|f| *f == name).unwrap()].clone();
+        let reduced = [
+            pick("date"),
+            pick("time"),
+            pick("s-ip"),
+            pick("cs-host"),
+            pick("sc-filter-result"),
+        ];
+        b.push_str(&filterscope::logformat::csv::join_line(&reduced));
+        b.push('\n');
+    }
+    b.push_str("\u{fffd} not a record\n");
+    std::fs::write(dir.join("b.log"), b.as_bytes()).expect("write b.log");
+
+    // Default shards, then tiny ones that split every schema section.
+    for shard_bytes in ["8388608", "4096"] {
+        let out = bin()
+            .current_dir(&dir)
+            .args(["compare", "--a", "a.log", "--b", "b.log"])
+            .env("FILTERSCOPE_SHARD_BYTES", shard_bytes)
+            .output()
+            .expect("run compare");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            include_str!("golden/compare.txt"),
+            "compare output drifted from tests/golden/compare.txt (shard bytes {shard_bytes})"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn policy_dump_is_valid_cpl() {
     let out = bin().arg("policy").output().expect("run policy");

@@ -50,6 +50,17 @@ struct Daemon {
     metrics: String,
 }
 
+/// A test that panics before [`join`] must not leak its daemon: kill and
+/// reap a child that is still running.
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        if let Ok(None) = self.child.try_wait() {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
+        }
+    }
+}
+
 /// Spawn `filterscope serve` on ephemeral ports and parse the two
 /// address lines it prints to stdout.
 fn spawn_serve(snapshot_dir: &Path) -> Daemon {
@@ -112,20 +123,25 @@ fn metric(page: &str, name: &str) -> Option<u64> {
         .and_then(|l| l[name.len() + 1..].trim().parse().ok())
 }
 
-/// Poll the metrics endpoint until `records_total` reaches `want` — the
-/// deterministic way to know the daemon has ingested everything the
-/// client sent, without sleeping for luck.
-fn await_records(metrics_addr: &str, want: u64) {
+/// Poll the metrics endpoint until gauge `name` satisfies `done` — the
+/// deterministic way to wait for the daemon, without sleeping for luck.
+fn await_metric(metrics_addr: &str, name: &str, done: impl Fn(u64) -> bool) {
     let deadline = Instant::now() + Duration::from_secs(60);
     let mut page = String::new();
     while Instant::now() < deadline {
         page = http_get(metrics_addr, "/metrics");
-        if metric(&page, "filterscope_records_total") == Some(want) {
+        if metric(&page, name).is_some_and(&done) {
             return;
         }
         std::thread::sleep(Duration::from_millis(25));
     }
-    panic!("daemon never reached {want} records; last metrics page:\n{page}");
+    panic!("{name} never reached its target; last metrics page:\n{page}");
+}
+
+/// Wait until `records_total` reaches `want`: the daemon has ingested
+/// everything the client sent.
+fn await_records(metrics_addr: &str, want: u64) {
+    await_metric(metrics_addr, "filterscope_records_total", |n| n == want);
 }
 
 /// Ask the daemon to shut down: SIGINT where available (the production
@@ -258,11 +274,11 @@ fn history_at_matches_batch_analyze() {
             String::from_utf8_lossy(&out.stderr)
         );
         await_records(&daemon.metrics, expected_records);
-        let page = http_get(&daemon.metrics, "/metrics");
-        assert!(
-            metric(&page, "filterscope_snaplog_frames_total") >= Some(1),
-            "snaplog gauges must be live:\n{page}"
-        );
+        // The first frame lands on the first snapshot cycle after ingest,
+        // which may not have run yet: poll for it rather than read once.
+        await_metric(&daemon.metrics, "filterscope_snaplog_frames_total", |n| {
+            n >= 1
+        });
         request_shutdown(&daemon, connections == 7);
         join(daemon);
 
