@@ -151,10 +151,6 @@ impl crate::registry::Analysis for AnonymizerStats {
         "anonymizers"
     }
 
-    fn title(&self) -> &'static str {
-        "Anonymizer services"
-    }
-
     fn ingest(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>) {
         AnonymizerStats::ingest(self, ctx, record);
     }

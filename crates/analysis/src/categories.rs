@@ -77,10 +77,6 @@ impl crate::registry::Analysis for CategoryStats {
         "categories"
     }
 
-    fn title(&self) -> &'static str {
-        "Censored categories"
-    }
-
     fn ingest(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>) {
         CategoryStats::ingest(self, ctx, record);
     }

@@ -159,10 +159,6 @@ impl crate::registry::Analysis for ConsistencyStats {
         "consistency"
     }
 
-    fn title(&self) -> &'static str {
-        "Log-consistency linter"
-    }
-
     fn ingest(&mut self, _ctx: &crate::AnalysisContext, record: &RecordView<'_>) {
         ConsistencyStats::ingest(self, record);
     }

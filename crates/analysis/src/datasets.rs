@@ -126,10 +126,6 @@ impl crate::registry::Analysis for DatasetCounts {
         "datasets"
     }
 
-    fn title(&self) -> &'static str {
-        "Dataset membership"
-    }
-
     fn ingest(&mut self, _ctx: &crate::AnalysisContext, record: &RecordView<'_>) {
         DatasetCounts::ingest(self, record);
     }

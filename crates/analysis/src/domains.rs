@@ -176,10 +176,6 @@ impl crate::registry::Analysis for DomainStats {
         "domains"
     }
 
-    fn title(&self) -> &'static str {
-        "Domain popularity"
-    }
-
     fn ingest(&mut self, _ctx: &crate::AnalysisContext, record: &RecordView<'_>) {
         DomainStats::ingest(self, record);
     }

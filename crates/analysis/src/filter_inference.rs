@@ -498,10 +498,6 @@ impl crate::registry::Analysis for InferenceAnalysis {
         "inference"
     }
 
-    fn title(&self) -> &'static str {
-        "Filter inference (5.4 recovery)"
-    }
-
     fn ingest(&mut self, _ctx: &AnalysisContext, record: &RecordView<'_>) {
         self.inner.ingest(record);
     }
@@ -663,10 +659,6 @@ impl MechanismInference {
 impl crate::registry::Analysis for MechanismInference {
     fn key(&self) -> &'static str {
         "mechanism"
-    }
-
-    fn title(&self) -> &'static str {
-        "Censorship-mechanism inference"
     }
 
     fn ingest(&mut self, _ctx: &AnalysisContext, record: &RecordView<'_>) {

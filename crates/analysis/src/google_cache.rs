@@ -97,10 +97,6 @@ impl crate::registry::Analysis for GoogleCacheStats {
         "google_cache"
     }
 
-    fn title(&self) -> &'static str {
-        "Google-cache accesses"
-    }
-
     fn ingest(&mut self, _ctx: &crate::AnalysisContext, record: &RecordView<'_>) {
         GoogleCacheStats::ingest(self, record);
     }

@@ -123,10 +123,6 @@ impl crate::registry::Analysis for HttpsStats {
         "https"
     }
 
-    fn title(&self) -> &'static str {
-        "HTTPS traffic and MITM check"
-    }
-
     fn ingest(&mut self, _ctx: &crate::AnalysisContext, record: &RecordView<'_>) {
         HttpsStats::ingest(self, record);
     }

@@ -186,10 +186,6 @@ impl crate::registry::Analysis for IpCensorship {
         "ip"
     }
 
-    fn title(&self) -> &'static str {
-        "IP-based censorship"
-    }
-
     fn ingest(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>) {
         IpCensorship::ingest(self, ctx, record);
     }

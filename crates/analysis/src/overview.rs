@@ -177,10 +177,6 @@ impl crate::registry::Analysis for TrafficOverview {
         "overview"
     }
 
-    fn title(&self) -> &'static str {
-        "Traffic overview"
-    }
-
     fn ingest(&mut self, _ctx: &crate::AnalysisContext, record: &RecordView<'_>) {
         TrafficOverview::ingest(self, record);
     }

@@ -123,10 +123,6 @@ impl crate::registry::Analysis for BitTorrentStats {
         "bittorrent"
     }
 
-    fn title(&self) -> &'static str {
-        "BitTorrent activity"
-    }
-
     fn ingest(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>) {
         BitTorrentStats::ingest(self, ctx, record);
     }

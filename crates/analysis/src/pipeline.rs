@@ -3,10 +3,10 @@
 //! The paper's dataset is 600 GB of proxy logs; a single-threaded ingest
 //! loop leaves every core but one idle. [`ParallelIngest`] fans a set of
 //! log files out to N workers: each file is split into byte-range shards
-//! aligned to newline boundaries, every shard feeds a private sink (an
-//! [`AnalysisSuite`], [`FilterInference`], or [`WeatherReport`] shard), and
-//! the shards are folded through the existing `merge()` plumbing in a
-//! deterministic order.
+//! aligned to newline boundaries, every shard feeds a private sink (a
+//! [`SuiteSink`] over the default or a selected set of analyses — `audit`
+//! and `weather` pin their [`Selection`]), and the shards are folded
+//! through the existing `merge()` plumbing in a deterministic order.
 //!
 //! # Determinism
 //!
@@ -33,10 +33,8 @@
 //! schema without replaying the file prefix.
 
 use crate::context::AnalysisContext;
-use crate::filter_inference::FilterInference;
 use crate::registry::{Selection, SuiteParams};
 use crate::suite::AnalysisSuite;
-use crate::weather::WeatherReport;
 use filterscope_core::{pool, Error, Progress, Result};
 use filterscope_logformat::{scan_sections, BlockParser, BlockReader, RecordView, Schema};
 use std::path::{Path, PathBuf};
@@ -70,26 +68,6 @@ pub trait ShardSink: Send {
 
     /// Fold a sibling shard in (shards are absorbed in plan order).
     fn absorb(&mut self, other: Self);
-}
-
-impl ShardSink for FilterInference {
-    fn ingest(&mut self, record: &RecordView<'_>) {
-        FilterInference::ingest(self, record);
-    }
-
-    fn absorb(&mut self, other: Self) {
-        self.merge(other);
-    }
-}
-
-impl ShardSink for WeatherReport {
-    fn ingest(&mut self, record: &RecordView<'_>) {
-        WeatherReport::ingest(self, record);
-    }
-
-    fn absorb(&mut self, other: Self) {
-        self.merge(other);
-    }
 }
 
 /// [`AnalysisSuite`] plus the shared read-only context it ingests under.
@@ -327,21 +305,6 @@ impl ParallelIngest {
         let (sink, stats) =
             self.run(paths, || SuiteSink::with_selection(ctx, params, selection))?;
         Ok((sink.into_suite(), stats))
-    }
-
-    /// Build a merged [`FilterInference`] from `paths`.
-    pub fn ingest_inference(&self, paths: &[PathBuf]) -> Result<(FilterInference, IngestStats)> {
-        self.run(paths, || FilterInference::new(&[]))
-    }
-
-    /// Build a merged [`WeatherReport`] from `paths`.
-    pub fn ingest_weather(
-        &self,
-        paths: &[PathBuf],
-        min_support: u64,
-        min_domains: usize,
-    ) -> Result<(WeatherReport, IngestStats)> {
-        self.run(paths, || WeatherReport::new(min_support, min_domains))
     }
 
     /// Scan one file for `#Fields:` schema sections (block-wise, via

@@ -69,10 +69,6 @@ impl crate::registry::Analysis for PortStats {
         "ports"
     }
 
-    fn title(&self) -> &'static str {
-        "Destination ports"
-    }
-
     fn ingest(&mut self, _ctx: &crate::AnalysisContext, record: &RecordView<'_>) {
         PortStats::ingest(self, record);
     }

@@ -208,10 +208,6 @@ impl crate::registry::Analysis for ProxyStats {
         "proxies"
     }
 
-    fn title(&self) -> &'static str {
-        "Per-proxy load and similarity"
-    }
-
     fn ingest(&mut self, _ctx: &crate::AnalysisContext, record: &RecordView<'_>) {
         ProxyStats::ingest(self, record);
     }

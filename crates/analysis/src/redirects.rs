@@ -122,10 +122,6 @@ impl crate::registry::Analysis for RedirectStats {
         "redirects"
     }
 
-    fn title(&self) -> &'static str {
-        "Policy redirects"
-    }
-
     fn ingest(&mut self, _ctx: &crate::AnalysisContext, record: &RecordView<'_>) {
         RedirectStats::ingest(self, record);
     }

@@ -55,9 +55,6 @@ pub trait Analysis: AsAny + Send + Sync {
     /// Stable selection key (`--analyses` vocabulary), unique per registry.
     fn key(&self) -> &'static str;
 
-    /// Human-readable name for listings.
-    fn title(&self) -> &'static str;
-
     /// Feed one parsed record view.
     fn ingest(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>);
 
@@ -541,12 +538,6 @@ mod tests {
             seen.push(e.key);
             let built = e.build(&params);
             assert_eq!(built.key(), e.key, "entry/impl key drift for {}", e.key);
-            assert_eq!(
-                built.title(),
-                e.title,
-                "entry/impl title drift for {}",
-                e.key
-            );
         }
     }
 

@@ -286,10 +286,6 @@ impl crate::registry::Analysis for SocialStats {
         "social"
     }
 
-    fn title(&self) -> &'static str {
-        "Social-media censorship"
-    }
-
     fn ingest(&mut self, _ctx: &crate::AnalysisContext, record: &RecordView<'_>) {
         SocialStats::ingest(self, record);
     }

@@ -238,10 +238,6 @@ impl crate::registry::Analysis for TemporalStats {
         "temporal"
     }
 
-    fn title(&self) -> &'static str {
-        "Censorship time series"
-    }
-
     fn ingest(&mut self, _ctx: &crate::AnalysisContext, record: &RecordView<'_>) {
         TemporalStats::ingest(self, record);
     }

@@ -206,10 +206,6 @@ impl crate::registry::Analysis for TorStats {
         "tor"
     }
 
-    fn title(&self) -> &'static str {
-        "Tor usage and blocking"
-    }
-
     fn ingest(&mut self, ctx: &AnalysisContext, record: &RecordView<'_>) {
         TorStats::ingest(self, ctx, record);
     }

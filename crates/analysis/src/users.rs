@@ -160,10 +160,6 @@ impl crate::registry::Analysis for UserStats {
         "users"
     }
 
-    fn title(&self) -> &'static str {
-        "User behaviour"
-    }
-
     fn ingest(&mut self, _ctx: &crate::AnalysisContext, record: &RecordView<'_>) {
         UserStats::ingest(self, record);
     }

@@ -173,10 +173,6 @@ impl crate::registry::Analysis for WeatherReport {
         "weather"
     }
 
-    fn title(&self) -> &'static str {
-        "Censorship weather report"
-    }
-
     fn ingest(&mut self, _ctx: &crate::AnalysisContext, record: &RecordView<'_>) {
         WeatherReport::ingest(self, record);
     }

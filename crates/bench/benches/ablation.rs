@@ -6,7 +6,7 @@ use filterscope_bench::corpus;
 use filterscope_bench::harness::{black_box, Harness};
 use filterscope_core::Ipv4Cidr;
 use filterscope_match::aho_corasick::AhoCorasickBuilder;
-use filterscope_match::{naive, CidrSet, DomainTrie};
+use filterscope_match::{naive, CidrSet, DomainIndex};
 use filterscope_proxy::config::{BLOCKED_DOMAINS, BLOCKED_SUBNETS, KEYWORDS};
 use filterscope_stats::{CountMap, SpaceSaving};
 use std::net::Ipv4Addr;
@@ -80,14 +80,14 @@ fn bench_ablation(c: &mut Harness) {
     });
     g.finish();
 
-    // --- domain blacklist: trie vs per-entry suffix check ----------------
+    // --- domain blacklist: suffix index vs per-entry suffix check --------
     let mut g = c.benchmark_group("ablation_domain_blacklist");
-    let trie = DomainTrie::from_entries(BLOCKED_DOMAINS.iter().copied());
-    g.bench_function("domain_trie", |b| {
+    let index = DomainIndex::from_entries(BLOCKED_DOMAINS.iter().copied());
+    g.bench_function("domain_index", |b| {
         b.iter(|| {
             let mut hits = 0u64;
             for h in &hosts {
-                if trie.matches(h) {
+                if index.matches(h) {
                     hits += 1;
                 }
             }

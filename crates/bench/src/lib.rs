@@ -10,7 +10,7 @@
 //!   generation+analysis rate, and the sharded parallel-ingest path at 1
 //!   thread vs all cores (the case for a Rust implementation);
 //! * `ablation` — the design choices DESIGN.md calls out: Aho–Corasick vs
-//!   naive scanning, domain trie vs suffix checks, CidrSet vs linear scan,
+//!   naive scanning, domain index vs suffix checks, CidrSet vs linear scan,
 //!   Space-Saving vs exact counting.
 //!
 //! Corpora are generated once per process and shared across benchmarks.

@@ -2,7 +2,7 @@
 
 use crate::category::Category;
 use crate::data::DOMAIN_CATEGORIES;
-use filterscope_match::DomainTrie;
+use filterscope_match::DomainIndex;
 
 /// Domain-suffix → category oracle.
 ///
@@ -11,7 +11,8 @@ use filterscope_match::DomainTrie;
 /// (`mail.yahoo.com` over `yahoo.com`).
 #[derive(Debug)]
 pub struct CategoryDb {
-    trie: DomainTrie,
+    index: DomainIndex,
+    /// Category of each index entry.
     categories: Vec<Category>,
 }
 
@@ -19,17 +20,14 @@ impl CategoryDb {
     /// Build from `(suffix, category)` pairs. Re-registering a suffix
     /// overwrites its category (last wins).
     pub fn from_entries<'a>(entries: impl IntoIterator<Item = (&'a str, Category)>) -> Self {
-        let mut trie = DomainTrie::new();
-        let mut categories = Vec::new();
+        let entries: Vec<(&str, Category)> = entries.into_iter().collect();
+        let index = DomainIndex::from_entries(entries.iter().map(|&(suffix, _)| suffix));
+        let mut categories = vec![Category::Unknown; index.len()];
         for (suffix, cat) in entries {
-            let ix = trie.insert(suffix) as usize;
-            if ix == categories.len() {
-                categories.push(cat);
-            } else {
-                categories[ix] = cat;
-            }
+            let ix = index.entry_index(suffix).expect("every suffix is an entry");
+            categories[ix as usize] = cat;
         }
-        CategoryDb { trie, categories }
+        CategoryDb { index, categories }
     }
 
     /// The standard register (every domain the paper names).
@@ -39,7 +37,7 @@ impl CategoryDb {
 
     /// Category of `host`, or [`Category::Unknown`] when unregistered.
     pub fn categorize(&self, host: &str) -> Category {
-        self.trie
+        self.index
             .lookup_longest(host)
             .map(|ix| self.categories[ix as usize])
             .unwrap_or(Category::Unknown)

@@ -13,6 +13,7 @@
 use crate::category::Category;
 use crate::db::CategoryDb;
 use filterscope_core::{Error, Result};
+use filterscope_match::domain_index::check_entry;
 
 /// Parse registry text into `(suffix, category)` pairs.
 pub fn parse_registry(text: &str) -> Result<Vec<(String, Category)>> {
@@ -36,6 +37,7 @@ pub fn parse_registry(text: &str) -> Result<Vec<(String, Category)>> {
         let category_name = line[split_at..].trim();
         let category = Category::from_name(category_name)
             .ok_or_else(|| err(format!("unknown category {category_name:?}")))?;
+        check_entry(domain).map_err(err)?;
         out.push((domain.to_string(), category));
     }
     Ok(out)
@@ -89,6 +91,20 @@ mod tests {
     fn rejects_malformed() {
         assert!(parse_registry("just-a-domain\n").is_err());
         assert!(parse_registry("x.com NotACategory\n").is_err());
+    }
+
+    #[test]
+    fn overlong_domain_labels_rejected_with_position() {
+        let long = "a".repeat(65_539);
+        let text = format!("x.com Games\n{long}.com Games\n");
+        match parse_registry(&text) {
+            Err(Error::MalformedRecord { line, reason }) => {
+                assert_eq!(line, 2);
+                assert!(reason.contains("65539 bytes"), "{reason}");
+            }
+            other => panic!("expected positioned parse error, got {other:?}"),
+        }
+        assert!(parse_registry(&format!("{}.com Games\n", &long[4..])).is_ok());
     }
 
     #[test]

@@ -518,7 +518,7 @@ mod tests {
     fn parser_matches_line_at_a_time_parse_view() {
         let mut data = sample_lines(10);
         data.push_str("# a comment line\n");
-        data.push_str("\n");
+        data.push('\n');
         data.push_str("garbage,line\n");
         data.push_str(&sample_lines(2));
         let schema = Schema::canonical();

@@ -1,19 +1,26 @@
-//! Flat, serializable form of the domain-suffix blacklist.
+//! Reversed-label suffix index for domain blacklists and category oracles.
 //!
-//! [`crate::DomainTrie`] hangs `HashMap` nodes off each other — ideal for
-//! incremental inserts and the linter's shadowing queries, but it cannot
-//! be written into the compiled policy artifact, and every lookup hashes
-//! each label. [`DomainIndex`] is the same reversed-label automaton
-//! flattened DAFSA-style into three arrays: a pool of lowercased label
-//! bytes, a sorted edge table, and a node table of edge ranges. Lookups
-//! binary-search the node's edge run with allocation-free case-folded
-//! comparison, and the whole structure serializes as a handful of
-//! length-prefixed arrays.
+//! The paper recovers a list of 105 domains "for which no request is allowed"
+//! (§5.4, Table 8) and shows that the `.il` ccTLD is blocked wholesale. A
+//! domain blacklist therefore needs *registrable-suffix* semantics:
+//! `facebook.com` must match `www.facebook.com` but not `notfacebook.com`,
+//! and the entry `.il` (or equivalently `il`) must match every Israeli host.
 //!
-//! Matching semantics are identical to `DomainTrie` by construction
-//! (property-tested): labels walk right-to-left, the *shortest* covering
-//! suffix wins, ASCII case is ignored, one trailing host dot is
-//! tolerated, and leading entry dots are stripped.
+//! [`DomainIndex`] stores the entries as a reversed-label automaton
+//! (`com` → `facebook`) flattened DAFSA-style into three arrays: a pool of
+//! lowercased label bytes, a sorted edge table, and a node table of edge
+//! ranges. A query walks the host's labels right-to-left, binary-searching
+//! each node's edge run with allocation-free case-folded comparison, and
+//! the whole structure serializes into the compiled policy artifact as a
+//! handful of length-prefixed arrays.
+//!
+//! Semantics (property-tested against the suffix checks in
+//! [`crate::naive`]): ASCII case is ignored, one trailing host dot is
+//! tolerated, and leading entry dots are stripped. The policy engine asks
+//! for the *shortest* covering entry ([`DomainIndex::lookup`]), the category
+//! oracle for the *longest* ([`DomainIndex::lookup_longest`]), and the
+//! policy linter for a strictly shorter entry covering another
+//! ([`DomainIndex::shadowing_entry`]).
 
 use filterscope_core::{ByteReader, ByteWriter, Error, Result};
 use std::collections::BTreeMap;
@@ -24,6 +31,23 @@ const NO_ENTRY: u32 = u32::MAX;
 /// Allocation ceiling for deserialized tables (labels bytes, edge and
 /// node counts), so a corrupt length cannot trigger an absurd allocation.
 const MAX_TABLE: usize = 1 << 26;
+
+/// Longest label (in bytes) an entry may have: edge lengths are stored as
+/// `u16`.
+const MAX_LABEL_LEN: usize = u16::MAX as usize;
+
+/// Check that every label of `entry` fits the index (65,535 bytes, the
+/// `u16` edge length), naming the first one that does not. Parsers of
+/// outside input call this; [`DomainIndex::from_entries`] panics instead.
+pub fn check_entry(entry: &str) -> std::result::Result<(), String> {
+    match entry.split('.').find(|l| l.len() > MAX_LABEL_LEN) {
+        None => Ok(()),
+        Some(label) => Err(format!(
+            "domain label of {} bytes exceeds the {MAX_LABEL_LEN}-byte limit",
+            label.len()
+        )),
+    }
+}
 
 /// One labelled edge: `labels[off..off + len]` leads to node `child`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,13 +87,21 @@ struct TempNode {
 }
 
 impl DomainIndex {
-    /// Build from entries, mirroring `DomainTrie::from_entries`: leading
-    /// dots stripped, labels lowercased, duplicates collapse onto the
-    /// first entry's index.
+    /// Build from entries: leading dots stripped, labels lowercased. Each
+    /// distinct entry gets the next index in first-occurrence order, and
+    /// duplicates collapse onto the first one's index.
+    ///
+    /// # Panics
+    ///
+    /// If an entry has a label longer than 65,535 bytes (see
+    /// [`check_entry`]).
     pub fn from_entries<'a>(entries: impl IntoIterator<Item = &'a str>) -> DomainIndex {
         let mut root = TempNode::default();
         let mut len = 0u32;
         for entry in entries {
+            if let Err(reason) = check_entry(entry) {
+                panic!("domain index entry rejected: {reason}");
+            }
             let entry = entry.trim_start_matches('.');
             let mut node = &mut root;
             for label in entry.rsplit('.') {
@@ -154,26 +186,72 @@ impl DomainIndex {
         Some(self.nodes[run[i].child as usize])
     }
 
-    /// If `host` is covered by an entry, the index of the *shortest*
-    /// covering suffix (semantics of [`crate::DomainTrie::lookup`]).
-    pub fn lookup(&self, host: &str) -> Option<u32> {
-        let host = host.strip_suffix('.').unwrap_or(host);
-        if host.is_empty() {
-            return None;
-        }
+    /// The entries on the path of `name`'s labels, shortest first, each
+    /// with whether it spans all of `name`. Stops where the path leaves
+    /// the index.
+    fn covering<'a>(&'a self, name: &'a str) -> impl Iterator<Item = (u32, bool)> + 'a {
+        let mut labels = name.rsplit('.').peekable();
         let mut node = self.nodes[0];
-        for label in host.rsplit('.') {
-            node = self.descend(node, label)?;
+        std::iter::from_fn(move || loop {
+            node = self.descend(node, labels.next()?)?;
             if node.terminal != NO_ENTRY {
-                return Some(node.terminal);
+                return Some((node.terminal, labels.peek().is_none()));
             }
-        }
-        None
+        })
+        .fuse()
+    }
+
+    /// `host` without one trailing dot, or `None` when nothing is left.
+    fn host_name(host: &str) -> Option<&str> {
+        let host = host.strip_suffix('.').unwrap_or(host);
+        (!host.is_empty()).then_some(host)
+    }
+
+    /// If `host` is covered by an entry, the index of the *shortest*
+    /// covering entry (the outermost blacklist rule): with entries `il` and
+    /// `co.il`, host `panet.co.il` reports `il`.
+    pub fn lookup(&self, host: &str) -> Option<u32> {
+        let (ix, _) = self.covering(Self::host_name(host)?).next()?;
+        Some(ix)
+    }
+
+    /// If `host` is covered by an entry, the index of the *longest* (most
+    /// specific) covering entry, as a category oracle wants it:
+    /// `mail.yahoo.com` over `yahoo.com`.
+    pub fn lookup_longest(&self, host: &str) -> Option<u32> {
+        let (ix, _) = self.covering(Self::host_name(host)?).last()?;
+        Some(ix)
     }
 
     /// Does any entry cover `host`?
     pub fn matches(&self, host: &str) -> bool {
         self.lookup(host).is_some()
+    }
+
+    /// The index [`DomainIndex::from_entries`] gave `entry` (normalized the
+    /// same way), or `None` if it is not an entry.
+    pub fn entry_index(&self, entry: &str) -> Option<u32> {
+        match self.covering(entry.trim_start_matches('.')).last()? {
+            (ix, true) => Some(ix),
+            (_, false) => None,
+        }
+    }
+
+    /// If a *strictly shorter* entry covers the suffix `entry`, the index
+    /// of the shortest such entry.
+    ///
+    /// This is the suffix-subsumption query behind the policy linter: with
+    /// entries `il` and `co.il`, the entry `co.il` can never be the deciding
+    /// rule (every host it covers is already covered by `il`), so
+    /// `shadowing_entry("co.il")` reports the index of `il`. An entry never
+    /// shadows itself, and `entry` need not be in the index.
+    pub fn shadowing_entry(&self, entry: &str) -> Option<u32> {
+        let entry = entry.trim_start_matches('.');
+        if entry.is_empty() {
+            return None;
+        }
+        let (ix, _) = self.covering(entry).find(|&(_, whole)| !whole)?;
+        Some(ix)
     }
 
     /// Serialize into `w` (see [`DomainIndex::read_from`]).
@@ -259,25 +337,42 @@ impl DomainIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DomainTrie;
+    use crate::naive;
 
-    fn both(entries: &[&str]) -> (DomainTrie, DomainIndex) {
-        (
-            DomainTrie::from_entries(entries.iter().copied()),
-            DomainIndex::from_entries(entries.iter().copied()),
-        )
+    #[test]
+    fn exact_and_subdomain_match() {
+        let index = DomainIndex::from_entries(["facebook.com", "metacafe.com"]);
+        assert!(index.matches("facebook.com"));
+        assert!(index.matches("www.facebook.com"));
+        assert!(index.matches("ar-ar.facebook.com"));
+        assert!(!index.matches("notfacebook.com"));
+        assert!(!index.matches("facebook.com.evil.net"));
+        assert!(!index.matches("com"));
     }
 
     #[test]
-    fn agrees_with_trie_on_fixed_cases() {
-        let (trie, index) = both(&["facebook.com", ".il", "Skype.COM", "co.il", "jumblo.com"]);
+    fn tld_entry_blocks_cctld() {
+        let index = DomainIndex::from_entries([".il"]);
+        assert!(index.matches("panet.co.il"));
+        assert!(index.matches("il"));
+        assert!(!index.matches("il.example.com"));
+    }
+
+    #[test]
+    fn case_and_trailing_dot_insensitive() {
+        let index = DomainIndex::from_entries(["Skype.COM"]);
+        assert!(index.matches("download.skype.com"));
+        assert!(index.matches("SKYPE.com."));
+    }
+
+    #[test]
+    fn agrees_with_naive_on_fixed_cases() {
+        let entries = ["facebook.com", ".il", "Skype.COM", "co.il", "jumblo.com"];
+        let index = DomainIndex::from_entries(entries);
         for host in [
             "facebook.com",
             "www.facebook.com",
-            "ar-ar.facebook.com",
             "notfacebook.com",
-            "facebook.com.evil.net",
-            "com",
             "il",
             "IL",
             "panet.co.il",
@@ -291,16 +386,75 @@ mod tests {
             ".",
             "a..com",
         ] {
-            assert_eq!(trie.lookup(host), index.lookup(host), "host {host:?}");
-            assert_eq!(trie.matches(host), index.matches(host), "host {host:?}");
+            assert_eq!(
+                index.lookup(host),
+                naive::domain_lookup(&entries, host),
+                "host {host:?}"
+            );
+            assert_eq!(
+                index.lookup_longest(host),
+                naive::domain_lookup_longest(&entries, host),
+                "host {host:?}"
+            );
         }
     }
 
     #[test]
-    fn shortest_suffix_wins_like_the_trie() {
-        let (_, index) = both(&["il", "co.il", "panet.co.il"]);
+    fn shortest_and_longest_suffix() {
+        let index = DomainIndex::from_entries(["il", "co.il", "panet.co.il"]);
         assert_eq!(index.lookup("panet.co.il"), Some(0));
         assert_eq!(index.lookup("idf.il"), Some(0));
+        assert_eq!(index.lookup_longest("www.panet.co.il"), Some(2));
+        assert_eq!(index.lookup_longest("x.co.il"), Some(1));
+        assert_eq!(index.lookup_longest("idf.il"), Some(0));
+        // An exact entry is its own longest match.
+        assert_eq!(index.lookup_longest("co.il"), Some(1));
+        assert_eq!(index.lookup_longest("example.com"), None);
+        assert_eq!(index.lookup_longest(""), None);
+    }
+
+    #[test]
+    fn shadowing_entry_reports_proper_suffixes_only() {
+        let index = DomainIndex::from_entries(["il", "co.il", "panet.co.il", "metacafe.com"]);
+        // `co.il` is shadowed by `il`; `panet.co.il` by the shortest cover.
+        assert_eq!(index.shadowing_entry("co.il"), Some(0));
+        assert_eq!(index.shadowing_entry("panet.co.il"), Some(0));
+        // An entry never shadows itself.
+        assert_eq!(index.shadowing_entry("il"), None);
+        assert_eq!(index.shadowing_entry("metacafe.com"), None);
+        // Names that are not entries report their shortest covering suffix.
+        assert_eq!(index.shadowing_entry("x.co.il"), Some(0));
+        assert_eq!(index.shadowing_entry("example.org"), None);
+        assert_eq!(index.shadowing_entry(""), None);
+        assert_eq!(index.shadowing_entry(".CO.IL"), Some(0));
+    }
+
+    #[test]
+    fn entry_index_follows_first_occurrence_order() {
+        let index = DomainIndex::from_entries(["co.il", "Badoo.com", "il", ".badoo.com"]);
+        assert_eq!(index.entry_index("co.il"), Some(0));
+        assert_eq!(index.entry_index("BADOO.COM"), Some(1));
+        assert_eq!(index.entry_index(".il"), Some(2));
+        // Covered names and path prefixes are not entries.
+        assert_eq!(index.entry_index("x.co.il"), None);
+        assert_eq!(index.entry_index("com"), None);
+    }
+
+    #[test]
+    fn overlong_labels_are_named() {
+        let long = format!("{}.com", "a".repeat(MAX_LABEL_LEN + 4));
+        let reason = check_entry(&long).unwrap_err();
+        assert!(reason.contains("65539 bytes"), "{reason}");
+        assert!(check_entry(&format!("{}.com", "a".repeat(MAX_LABEL_LEN))).is_ok());
+    }
+
+    /// A label past the `u16` edge length used to wrap, so the entry
+    /// matched hosts on its first `len mod 65536` bytes (`aaa.com` here).
+    #[test]
+    #[should_panic(expected = "exceeds the 65535-byte limit")]
+    fn overlong_label_panics_instead_of_truncating() {
+        let long = format!("{}.com", "a".repeat(MAX_LABEL_LEN + 4));
+        DomainIndex::from_entries([long.as_str()]);
     }
 
     #[test]
@@ -321,7 +475,7 @@ mod tests {
 
     #[test]
     fn serialization_roundtrip_is_identity() {
-        let (_, index) = both(&["facebook.com", ".il", "skype.com", "co.il"]);
+        let index = DomainIndex::from_entries(["facebook.com", ".il", "skype.com", "co.il"]);
         let mut w = ByteWriter::new();
         index.write_into(&mut w);
         let bytes = w.into_bytes();

@@ -54,6 +54,64 @@ pub fn domain_matches(entries: &[&str], host: &str) -> bool {
     })
 }
 
+/// Distinct domain entries in first-occurrence order, normalized the way
+/// `DomainIndex` stores them (leading dots stripped, lowercased); an
+/// entry's position is its index.
+pub fn domain_entries(entries: &[&str]) -> Vec<String> {
+    let mut out: Vec<String> = Vec::new();
+    for e in entries {
+        let e = e.trim_start_matches('.').to_ascii_lowercase();
+        if !out.contains(&e) {
+            out.push(e);
+        }
+    }
+    out
+}
+
+/// `(index, entry)` of every entry that equals `name` or ends it after a
+/// dot.
+fn domain_covers<'a>(
+    entries: &'a [String],
+    name: &'a str,
+) -> impl Iterator<Item = (u32, &'a String)> + 'a {
+    (0u32..)
+        .zip(entries)
+        .filter(move |(_, e)| name == e.as_str() || name.ends_with(&format!(".{e}")))
+}
+
+/// `host` lowercased without one trailing dot, or `None` when empty.
+fn domain_host(host: &str) -> Option<String> {
+    let host = host.strip_suffix('.').unwrap_or(host);
+    (!host.is_empty()).then(|| host.to_ascii_lowercase())
+}
+
+/// Index of the shortest entry covering `host`.
+pub fn domain_lookup(entries: &[&str], host: &str) -> Option<u32> {
+    let (entries, host) = (domain_entries(entries), domain_host(host)?);
+    let shortest = domain_covers(&entries, &host).min_by_key(|(_, e)| e.len());
+    shortest.map(|(ix, _)| ix)
+}
+
+/// Index of the longest entry covering `host`.
+pub fn domain_lookup_longest(entries: &[&str], host: &str) -> Option<u32> {
+    let (entries, host) = (domain_entries(entries), domain_host(host)?);
+    let longest = domain_covers(&entries, &host).max_by_key(|(_, e)| e.len());
+    longest.map(|(ix, _)| ix)
+}
+
+/// Index of the shortest entry covering `entry` other than `entry` itself.
+pub fn domain_shadowing_entry(entries: &[&str], entry: &str) -> Option<u32> {
+    let entries = domain_entries(entries);
+    let entry = entry.trim_start_matches('.').to_ascii_lowercase();
+    if entry.is_empty() {
+        return None;
+    }
+    let shortest = domain_covers(&entries, &entry)
+        .filter(|(_, e)| **e != entry)
+        .min_by_key(|(_, e)| e.len());
+    shortest.map(|(ix, _)| ix)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,6 +134,18 @@ mod tests {
         assert!(!domain_matches(&entries, "notfacebook.com"));
         assert!(domain_matches(&entries, "panet.co.il"));
         assert!(!domain_matches(&entries, "il.example.com"));
+    }
+
+    #[test]
+    fn naive_domain_lookups() {
+        let entries = ["il", ".CO.il", "panet.co.il", "co.il"];
+        assert_eq!(domain_entries(&entries), ["il", "co.il", "panet.co.il"]);
+        assert_eq!(domain_lookup(&entries, "www.panet.co.il."), Some(0));
+        assert_eq!(domain_lookup_longest(&entries, "WWW.panet.co.il"), Some(2));
+        assert_eq!(domain_lookup_longest(&entries, "notpanet.co.il"), Some(1));
+        assert_eq!(domain_lookup(&entries, "."), None);
+        assert_eq!(domain_shadowing_entry(&entries, "panet.co.il"), Some(0));
+        assert_eq!(domain_shadowing_entry(&entries, "il"), None);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! arbitrary inputs.
 
 use filterscope_core::{ByteReader, ByteWriter, Ipv4Cidr};
-use filterscope_match::{naive, AcDfa, AhoCorasick, CidrSet, DomainIndex, DomainTrie};
+use filterscope_match::{naive, AcDfa, AhoCorasick, CidrSet, DomainIndex};
 use proptest::prelude::*;
 
 proptest! {
@@ -54,20 +54,6 @@ proptest! {
         }
     }
 
-    /// DomainTrie matching equals the naive suffix check.
-    #[test]
-    fn domain_trie_equals_naive(
-        entries in proptest::collection::vec("[a-c]{1,3}(\\.[a-c]{1,3}){0,2}", 0..8),
-        host in "[a-d]{1,3}(\\.[a-d]{1,3}){0,3}",
-    ) {
-        let entry_refs: Vec<&str> = entries.iter().map(|s| s.as_str()).collect();
-        let trie = DomainTrie::from_entries(entry_refs.iter().copied());
-        prop_assert_eq!(
-            trie.matches(&host),
-            naive::domain_matches(&entry_refs, &host)
-        );
-    }
-
     /// The dense DFA compiled for the policy artifact agrees with the
     /// sparse automaton it was tabulated from, and survives a
     /// serialization round trip unchanged.
@@ -95,17 +81,26 @@ proptest! {
         }
     }
 
-    /// The flat domain index agrees with the pointer-chasing trie on
-    /// arbitrary entries and hosts, before and after serialization.
+    /// Every domain-index query agrees with the naive suffix checks on
+    /// arbitrary entries and hosts, before and after serialization. A small
+    /// label alphabet makes entries nest, and half the hosts are built
+    /// under an entry, so shortest and longest covers often differ.
     #[test]
-    fn domain_index_equals_trie(
+    fn domain_index_equals_naive(
         entries in proptest::collection::vec(
-            "(\\.){0,1}[a-cA-C]{1,3}(\\.[a-cA-C]{1,3}){0,2}", 0..8),
-        hosts in proptest::collection::vec(
-            "[a-dA-D]{1,3}(\\.[a-dA-D]{1,3}){0,3}(\\.){0,1}", 0..10),
+            "(\\.){0,1}[a-bA-B]{1,2}(\\.[a-bA-B]{1,2}){0,2}", 0..8),
+        random_hosts in proptest::collection::vec(
+            "[a-cA-C]{1,2}(\\.[a-cA-C]{1,2}){0,3}(\\.){0,1}", 0..6),
+        under_entries in proptest::collection::vec(
+            (0usize..8, "([a-cA-C]{1,2}\\.){0,2}", "(\\.){0,1}"), 0..6),
     ) {
+        let mut hosts = random_hosts;
+        for (i, prefix, dot) in under_entries {
+            if let Some(entry) = entries.get(i % entries.len().max(1)) {
+                hosts.push(format!("{prefix}{}{dot}", entry.trim_start_matches('.')));
+            }
+        }
         let entry_refs: Vec<&str> = entries.iter().map(|s| s.as_str()).collect();
-        let trie = DomainTrie::from_entries(entry_refs.iter().copied());
         let index = DomainIndex::from_entries(entry_refs.iter().copied());
         let mut w = ByteWriter::new();
         index.write_into(&mut w);
@@ -114,10 +109,29 @@ proptest! {
         let back = DomainIndex::read_from(&mut r).unwrap();
         prop_assert!(r.is_exhausted());
         prop_assert_eq!(&index, &back);
+        let distinct = naive::domain_entries(&entry_refs);
+        prop_assert_eq!(index.len(), distinct.len());
         for host in &hosts {
-            let want = trie.lookup(host);
-            prop_assert_eq!(index.lookup(host), want, "host {:?}", host);
-            prop_assert_eq!(back.lookup(host), want, "host {:?}", host);
+            let shortest = naive::domain_lookup(&entry_refs, host);
+            let longest = naive::domain_lookup_longest(&entry_refs, host);
+            for ix in [&index, &back] {
+                prop_assert_eq!(ix.lookup(host), shortest, "host {:?}", host);
+                prop_assert_eq!(ix.lookup_longest(host), longest, "host {:?}", host);
+            }
+        }
+        for name in entry_refs.iter().copied().chain(hosts.iter().map(|h| h.as_str())) {
+            prop_assert_eq!(
+                index.shadowing_entry(name),
+                naive::domain_shadowing_entry(&entry_refs, name),
+                "name {:?}", name
+            );
+            let key = name.trim_start_matches('.').to_ascii_lowercase();
+            let position = distinct.iter().position(|e| *e == key);
+            prop_assert_eq!(
+                index.entry_index(name),
+                position.map(|p| p as u32),
+                "name {:?}", name
+            );
         }
     }
 

@@ -11,7 +11,7 @@
 //! * [`lint_policy`] — reachability/shadowing and redundancy/conflict
 //!   findings over one [`PolicyData`]: keyword substring subsumption (via
 //!   the Aho–Corasick pattern set), domain-suffix subsumption (via the
-//!   trie), CIDR containment (via the subnet set), dead custom-category
+//!   engine's `DomainIndex`), CIDR containment (via the subnet set), dead custom-category
 //!   rules, and cross-tier masking notes;
 //! * [`lint_farm`] — consistency checks over the per-proxy configs;
 //! * [`skew_matrix`] — a static diff of the seven per-proxy configurations

@@ -8,7 +8,7 @@ use filterscope_proxy::{PolicyData, RuleFamily};
 
 use filterscope_core::ProxyId;
 use filterscope_match::aho_corasick::AhoCorasickBuilder;
-use filterscope_match::DomainTrie;
+use filterscope_match::DomainIndex;
 use std::collections::HashMap;
 
 /// Normalize a keyword the way the (case-insensitive) automaton sees it.
@@ -16,7 +16,7 @@ fn norm_keyword(k: &str) -> String {
     k.to_ascii_lowercase()
 }
 
-/// Normalize a domain entry the way the trie stores it.
+/// Normalize a domain entry the way the domain index stores it.
 fn norm_domain(d: &str) -> String {
     d.trim_start_matches('.')
         .trim_end_matches('.')
@@ -233,26 +233,24 @@ pub fn lint_policy(policy: &PolicyData) -> Vec<Finding> {
         }
     }
 
-    // Domains: suffix subsumption via the trie. Track the first spelling of
-    // each distinct entry so the message can name the shadowing rule.
-    let mut trie = DomainTrie::new();
-    let mut entry_names: Vec<String> = Vec::new();
-    for d in &policy.blocked_domains {
-        let n = norm_domain(d);
-        if n.is_empty() {
-            continue;
-        }
-        let ix = trie.insert(&n);
-        if ix as usize == entry_names.len() {
-            entry_names.push(d.clone());
+    // Domains: suffix subsumption via the engine's own domain index. Track
+    // the first spelling of each distinct entry so the message can name the
+    // shadowing rule.
+    let live_domains: Vec<(&String, String)> = policy
+        .blocked_domains
+        .iter()
+        .map(|d| (d, norm_domain(d)))
+        .filter(|(_, n)| !n.is_empty())
+        .collect();
+    let index = DomainIndex::from_entries(live_domains.iter().map(|(_, n)| n.as_str()));
+    let mut entry_names: Vec<&String> = Vec::new();
+    for (d, n) in &live_domains {
+        if index.entry_index(n) == Some(entry_names.len() as u32) {
+            entry_names.push(d);
         }
     }
-    for d in &policy.blocked_domains {
-        let n = norm_domain(d);
-        if n.is_empty() {
-            continue;
-        }
-        if let Some(ix) = trie.shadowing_entry(&n) {
+    for (d, n) in &live_domains {
+        if let Some(ix) = index.shadowing_entry(n) {
             out.push(finding(
                 Severity::Warning,
                 "domain-shadowed",
@@ -327,7 +325,7 @@ pub fn lint_policy(policy: &PolicyData) -> Vec<Finding> {
                     .to_string(),
             ));
         }
-        if trie.matches(h) {
+        if index.matches(h) {
             out.push(finding(
                 Severity::Info,
                 "redirect-masks-domain",
@@ -353,7 +351,7 @@ pub fn lint_policy(policy: &PolicyData) -> Vec<Finding> {
                     .to_string(),
             ));
         }
-        if trie.matches(host) {
+        if index.matches(host) {
             out.push(finding(
                 Severity::Info,
                 "page-masks-domain",
@@ -601,9 +599,11 @@ mod tests {
         farm.proxies.pop();
         assert_eq!(codes(&lint_farm(&farm)), vec!["farm-size"]);
 
-        let mut farm = FarmConfig::default();
-        farm.error_per_cent_mille = 99_000;
-        farm.proxied_per_cent_mille = 2_000;
+        let farm = FarmConfig {
+            error_per_cent_mille: 99_000,
+            proxied_per_cent_mille: 2_000,
+            ..FarmConfig::default()
+        };
         assert_eq!(codes(&lint_farm(&farm)), vec!["rate-overflow"]);
     }
 }

@@ -6,7 +6,7 @@
 //! source CPL text, and optionally the whole farm configuration — into a
 //! single `header + section table + payload` file. Opening the artifact
 //! deserializes the hot structures directly (no automaton construction,
-//! no trie building, no CIDR merging); the only text parsed at load time
+//! no suffix-index building, no CIDR merging); the only text parsed at load time
 //! is the embedded source CPL, kept so the `filterscope-policylint`
 //! witness gate can rebuild a reference engine and prove the compiled
 //! forms still decide identically before a hot-swap is accepted.

@@ -30,6 +30,7 @@
 
 use crate::policy_data::PolicyData;
 use filterscope_core::{Error, Ipv4Cidr, Result};
+use filterscope_match::domain_index::check_entry;
 
 /// Escape a value for a quoted CPL literal. Quotes and backslashes get a
 /// backslash; newlines and carriage returns become `\n`/`\r` so that any
@@ -249,6 +250,7 @@ pub fn parse_cpl(text: &str) -> Result<PolicyData> {
             Section::Domains => {
                 let (v, rest) = take_attr(line, "url.domain").map_err(at)?;
                 expect_line_end(rest).map_err(at)?;
+                check_entry(&v).map_err(err)?;
                 policy.blocked_domains.push(v);
             }
             Section::Subnets => {
@@ -358,6 +360,22 @@ mod tests {
             err_at("define condition redirect_hosts\n  url.host=\"a.com\" junk\nend\n");
         assert_eq!(line, 2);
         assert!(reason.contains("trailing"), "{reason}");
+    }
+
+    /// The domain index stores label lengths as `u16`; a longer label used
+    /// to parse and then block every host matching its truncated prefix.
+    #[test]
+    fn overlong_domain_labels_rejected_with_position() {
+        let long = "a".repeat(65_539);
+        let text = format!("define condition blocked_domains\n  url.domain=\"{long}.com\"\nend\n");
+        let (line, reason) = err_at(&text);
+        assert_eq!(line, 2);
+        assert!(reason.contains("65539 bytes"), "{reason}");
+        let fits = format!(
+            "define condition blocked_domains\n  url.domain=\"{}.com\"\nend\n",
+            &long[4..]
+        );
+        assert!(parse_cpl(&fits).is_ok());
     }
 
     #[test]

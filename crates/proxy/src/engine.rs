@@ -17,8 +17,8 @@ use std::sync::Arc;
 /// [`ProxyConfig`]).
 ///
 /// The two hot structures are the *compiled* forms — a dense keyword DFA
-/// and a flat domain index — decision-identical to the build-time
-/// automaton/trie (property-tested in `filterscope-match`) and directly
+/// and a flat domain index — property-tested in `filterscope-match` against
+/// the build-time automaton and the naive suffix checks — and directly
 /// serializable into the policy artifact (`crate::artifact`).
 pub struct PolicyEngine {
     pub(crate) keywords: AcDfa,

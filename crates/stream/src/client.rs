@@ -355,7 +355,6 @@ mod tests {
         );
         // Same multiset of lines (ordering interleaves across connections).
         let mut received = received;
-        let mut expected = expected;
         received.sort();
         expected.sort();
         assert_eq!(received, expected);

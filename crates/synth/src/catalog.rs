@@ -404,34 +404,34 @@ mod tests {
 
     #[test]
     fn other_blocked_domains_are_actually_blocked() {
-        use filterscope_match::DomainTrie;
-        let trie =
-            DomainTrie::from_entries(filterscope_proxy::config::BLOCKED_DOMAINS.iter().copied());
+        use filterscope_match::DomainIndex;
+        let index =
+            DomainIndex::from_entries(filterscope_proxy::config::BLOCKED_DOMAINS.iter().copied());
         for (host, _) in OTHER_BLOCKED_MIX {
-            assert!(trie.matches(host), "{host} not blocked by policy");
+            assert!(index.matches(host), "{host} not blocked by policy");
         }
     }
 
     #[test]
     fn im_endpoints_are_domain_blocked() {
-        use filterscope_match::DomainTrie;
-        let trie =
-            DomainTrie::from_entries(filterscope_proxy::config::BLOCKED_DOMAINS.iter().copied());
+        use filterscope_match::DomainIndex;
+        let index =
+            DomainIndex::from_entries(filterscope_proxy::config::BLOCKED_DOMAINS.iter().copied());
         for (host, _, _) in IM_ENDPOINTS {
-            assert!(trie.matches(host), "{host} not blocked");
+            assert!(index.matches(host), "{host} not blocked");
         }
     }
 
     #[test]
     fn top_allowed_hosts_are_not_domain_blocked() {
-        use filterscope_match::DomainTrie;
-        let trie =
-            DomainTrie::from_entries(filterscope_proxy::config::BLOCKED_DOMAINS.iter().copied());
+        use filterscope_match::DomainIndex;
+        let index =
+            DomainIndex::from_entries(filterscope_proxy::config::BLOCKED_DOMAINS.iter().copied());
         for (host, _) in TOP_ALLOWED {
-            assert!(!trie.matches(host), "{host} would be blocked");
+            assert!(!index.matches(host), "{host} would be blocked");
         }
         for (host, _, _) in OSN_PANEL {
-            assert!(!trie.matches(host), "OSN {host} would be blocked");
+            assert!(!index.matches(host), "OSN {host} would be blocked");
         }
     }
 }

@@ -67,12 +67,12 @@ fn suspected_domains_are_actually_blocked() {
     let (suite, _) = analyzed(8_192, 3);
     let suspected = suite.inference().recover_domains(3);
     assert!(!suspected.is_empty());
-    let trie = filterscope::matchers::DomainTrie::from_entries(
+    let index = filterscope::matchers::DomainIndex::from_entries(
         proxy::config::BLOCKED_DOMAINS.iter().copied(),
     );
     for (domain, ev) in &suspected {
         let probe = if domain == ".il" { "x.il" } else { domain };
-        assert!(trie.matches(probe), "false suspected domain {domain}");
+        assert!(index.matches(probe), "false suspected domain {domain}");
         assert_eq!(ev.allowed, 0, "{domain} had allowed traffic");
     }
 }

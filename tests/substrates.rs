@@ -5,7 +5,7 @@
 use filterscope::categorizer::{Category, CategoryDb};
 use filterscope::core::Ipv4Cidr;
 use filterscope::geoip::{data as geo_data, Country};
-use filterscope::matchers::DomainTrie;
+use filterscope::matchers::DomainIndex;
 use filterscope::proxy::config as policy;
 
 #[test]
@@ -115,10 +115,10 @@ fn redirect_hosts_are_not_also_domain_blocked() {
         );
     }
 
-    let trie = DomainTrie::from_entries(policy::BLOCKED_DOMAINS.iter().copied());
+    let index = DomainIndex::from_entries(policy::BLOCKED_DOMAINS.iter().copied());
     // And the overlap case specifically: share.metacafe.com is both under a
     // blocked domain and a redirect host; redirect must win.
-    assert!(trie.matches("share.metacafe.com"));
+    assert!(index.matches("share.metacafe.com"));
     let rec = farm.process_on(
         &Request::get(ts, RequestUrl::http("share.metacafe.com", "/v")),
         ProxyId::Sg42,
